@@ -6,13 +6,16 @@
 //! implementation is the classic intrusive doubly-linked recency list
 //! over a slot arena plus a `HashMap` index — `get`/insert/evict are
 //! all O(1) (amortized), with no per-operation allocation once the
-//! arena is full.
+//! arena is full. The index hashes with a [`KeyedState`]: one folded
+//! multiply per integer key, keyed per cache, because the keys (source
+//! addresses) are attacker-chosen.
 //!
 //! [`IpReputation`]: crate::signals::IpReputation
 
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use mhw_types::keyed_hash::KeyedState;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -36,7 +39,7 @@ struct Slot<K, V> {
 /// [`peek`](LruCache::peek) reads without touching the recency order.
 #[derive(Debug, Clone)]
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, KeyedState>,
     slots: Vec<Slot<K, V>>,
     /// Most recently used slot (NIL when empty).
     head: usize,
@@ -50,7 +53,7 @@ impl<K: Eq + Hash + Copy, V> LruCache<K, V> {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         LruCache {
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(1 << 20), KeyedState::new()),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -71,6 +74,17 @@ impl<K: Eq + Hash + Copy, V> LruCache<K, V> {
     /// The configured bound.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Rough retained bytes: the live slots, their index entries (with
+    /// control bytes) and `heap(v)` for each value's own allocations.
+    /// Hash-table slack is not counted, which keeps the figure
+    /// deterministic: the table's growth points depend on its random
+    /// hash key.
+    pub fn approx_bytes(&self, heap: impl Fn(&V) -> usize) -> usize {
+        self.slots.len() * std::mem::size_of::<Slot<K, V>>()
+            + self.map.len() * (std::mem::size_of::<(K, usize)>() + 1)
+            + self.slots.iter().map(|s| heap(&s.value)).sum::<usize>()
     }
 
     /// Unlink slot `i` from the recency list.

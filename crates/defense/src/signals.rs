@@ -33,12 +33,21 @@
 //! byte-identical — while serve mode stays O(capacity) under millions
 //! of distinct IPs.
 //!
+//! The state is also laid out for a stream whose accounts do not fit in
+//! cache. An [`AccountHistory`] is 56 bytes, under one cache line:
+//! country and hour-of-day sets are bitmasks (scoring only asks "ever
+//! seen?"), and the device window keeps four devices inline. Only an
+//! account with a fifth device or a failed attempt allocates. An IP's
+//! daily account set likewise keeps two accounts inline before it
+//! allocates.
+//!
 //! [`RiskService`]: crate::service::RiskService
 //! [`LruCache`]: crate::lru::LruCache
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::lru::LruCache;
 use mhw_types::{AccountId, CountryCode, DenseMap, DeviceId, IpAddr, SimDuration, SimTime, DAY, HOUR};
-use std::collections::VecDeque;
 
 /// Sliding-window cap on devices remembered per account.
 ///
@@ -63,106 +72,301 @@ pub const DEFAULT_IP_CACHE_CAPACITY: usize = 65_536;
 /// count saturating at 64 is semantically invisible.
 pub const MAX_ACCOUNTS_PER_IP: usize = 64;
 
+/// Devices an [`AccountHistory`] keeps inline before its window spills
+/// to the heap. Owners hold one stable device, so only accounts a crew
+/// has logged into ever spill.
+const INLINE_DEVICES: usize = 4;
+
+const _: () = assert!(MAX_TRACKED_DEVICES > INLINE_DEVICES);
+
 /// Per-account login history, updated on successful logins.
-#[derive(Debug, Default, Clone)]
+///
+/// 56 bytes, under one cache line. Scoring only ever asks whether a
+/// country or an hour was seen, how many successes there were, and
+/// which devices are in the window, so the history keeps exactly that:
+/// a country bitmask and an hour bitmask instead of counts, a success
+/// total, the last success, and an inline window of the four most
+/// recent devices.
+/// Accounts with more devices, or with failed attempts, pay for a heap
+/// allocation; the rest never allocate.
+#[derive(Debug, Clone)]
 pub struct AccountHistory {
-    /// Successful-login counts by country, sorted by country code.
-    /// Users see one or two countries in their lifetime, so a sorted
-    /// pair-vec beats a per-account hash map by an order of magnitude
-    /// in memory and loses nothing in lookup time.
-    countries: Vec<(CountryCode, u32)>,
+    /// Time of the most recent success; meaningful only when
+    /// `total > 0`.
+    last_at: SimTime,
+    /// Successful logins recorded (saturating).
+    total: u32,
+    /// Bit `c.index()` set once a success came from country `c`.
+    countries: u32,
+    /// Bit `h` set once a success happened at hour-of-day `h`.
+    hours: u32,
+    /// Country of the most recent success; meaningful only when
+    /// `total > 0`.
+    last_country: CountryCode,
     /// Sliding window of recently seen devices, oldest first. A device
     /// seen again moves to the back (most recent), so the window evicts
     /// by recency, not insertion order.
-    devices: VecDeque<DeviceId>,
-    /// Most recent successful login (time, country).
-    last_success: Option<(SimTime, CountryCode)>,
-    /// Hour-of-day histogram of successful logins.
-    hours: [u32; 24],
-    /// Recent failed attempts (time-pruned, bounded).
-    recent_failures: VecDeque<SimTime>,
+    devices: DeviceWindow,
+    /// Recent failed attempts (time-pruned, at most
+    /// [`MAX_RECENT_FAILURES`], oldest first). Cold: most accounts never
+    /// fail, and those pay nothing for it.
+    failures: Option<Box<Window<SimTime, MAX_RECENT_FAILURES>>>,
+}
+
+/// A fixed-capacity window of at most `N` items, oldest first: the
+/// storage of both the device window and the failure log. No heap of
+/// its own, so boxing one costs exactly one allocation.
+#[derive(Debug, Clone)]
+struct Window<T, const N: usize> {
+    len: u8,
+    items: [T; N],
+}
+
+impl<T: Copy + PartialEq, const N: usize> Window<T, N> {
+    const FITS_LEN: () = assert!(N <= u8::MAX as usize);
+
+    /// An empty window (`fill` only initializes unused storage).
+    fn new(fill: T) -> Self {
+        let () = Self::FITS_LEN;
+        Window { len: 0, items: [fill; N] }
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.items[..usize::from(self.len)]
+    }
+
+    fn is_full(&self) -> bool {
+        usize::from(self.len) == N
+    }
+
+    /// Append as the newest item; the window must not be full.
+    fn push(&mut self, item: T) {
+        self.items[usize::from(self.len)] = item;
+        self.len += 1;
+    }
+
+    /// Drop the `k` oldest items.
+    fn drop_oldest(&mut self, k: usize) {
+        let len = usize::from(self.len);
+        let k = k.min(len);
+        self.items.copy_within(k..len, 0);
+        self.len -= k as u8;
+    }
+
+    /// Make `item` the newest: move it to the back if present, else
+    /// append it. Returns `false`, changing nothing, if `item` is new
+    /// and the window is full.
+    fn refresh(&mut self, item: T) -> bool {
+        let len = usize::from(self.len);
+        if let Some(pos) = self.items[..len].iter().position(|x| *x == item) {
+            self.items[pos..len].rotate_left(1);
+        } else if len < N {
+            self.push(item);
+        } else {
+            return false;
+        }
+        true
+    }
+}
+
+/// The device window: inline up to [`INLINE_DEVICES`], then spilled to
+/// a heap window bounded by [`MAX_TRACKED_DEVICES`]. Oldest first in
+/// either form.
+#[derive(Debug, Clone)]
+enum DeviceWindow {
+    Inline(Window<DeviceId, INLINE_DEVICES>),
+    Spilled(Box<Window<DeviceId, MAX_TRACKED_DEVICES>>),
+}
+
+impl DeviceWindow {
+    fn as_slice(&self) -> &[DeviceId] {
+        match self {
+            DeviceWindow::Inline(window) => window.as_slice(),
+            DeviceWindow::Spilled(window) => window.as_slice(),
+        }
+    }
+
+    /// Make `device` the most recent, evicting the oldest if the window
+    /// is at [`MAX_TRACKED_DEVICES`].
+    fn touch(&mut self, device: DeviceId) {
+        match self {
+            DeviceWindow::Inline(window) => {
+                if !window.refresh(device) {
+                    let mut spilled = Box::new(Window::new(device));
+                    for d in window.as_slice() {
+                        spilled.push(*d);
+                    }
+                    spilled.push(device);
+                    *self = DeviceWindow::Spilled(spilled);
+                }
+            }
+            DeviceWindow::Spilled(window) => {
+                if !window.refresh(device) {
+                    window.drop_oldest(1);
+                    window.push(device);
+                }
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            DeviceWindow::Inline(_) => 0,
+            DeviceWindow::Spilled(_) => std::mem::size_of::<Window<DeviceId, MAX_TRACKED_DEVICES>>(),
+        }
+    }
+}
+
+impl Default for AccountHistory {
+    fn default() -> Self {
+        AccountHistory {
+            last_at: SimTime::EPOCH,
+            total: 0,
+            countries: 0,
+            hours: 0,
+            last_country: CountryCode::US,
+            devices: DeviceWindow::Inline(Window::new(DeviceId(0))),
+            failures: None,
+        }
+    }
 }
 
 impl AccountHistory {
     /// Total successful logins recorded on this account.
     pub fn total_logins(&self) -> u32 {
-        self.countries.iter().map(|(_, n)| n).sum()
+        self.total
     }
 
     /// Whether a successful login was ever recorded from `country`.
     pub fn has_country(&self, country: CountryCode) -> bool {
-        self.countries.binary_search_by_key(&country, |(c, _)| *c).is_ok()
+        self.countries & (1 << country.index()) != 0
     }
 
     /// Whether `device` is inside the tracked-device window.
     pub fn has_device(&self, device: DeviceId) -> bool {
-        self.devices.contains(&device)
+        self.devices.as_slice().contains(&device)
     }
 
     /// Number of devices currently inside the window.
     pub fn tracked_devices(&self) -> usize {
-        self.devices.len()
+        self.devices.as_slice().len()
+    }
+
+    /// The most recent successful login (time, country), if any.
+    fn last_success(&self) -> Option<(SimTime, CountryCode)> {
+        (self.total > 0).then_some((self.last_at, self.last_country))
+    }
+
+    /// Whether a success was recorded within two hours (circularly) of
+    /// hour-of-day `hour`.
+    fn used_hour_near(&self, hour: u32) -> bool {
+        // Three copies of the 24-bit mask side by side, so the window
+        // of hours `hour - 2 ..= hour + 2` never wraps.
+        let hours = u64::from(self.hours);
+        let tripled = hours | hours << 24 | hours << 48;
+        (tripled >> (hour % 24 + 22)) & 0b1_1111 != 0
     }
 
     /// Record a successful login.
     pub fn record_success(&mut self, at: SimTime, country: CountryCode, device: DeviceId) {
-        match self.countries.binary_search_by_key(&country, |(c, _)| *c) {
-            Ok(i) => self.countries[i].1 += 1,
-            Err(i) => self.countries.insert(i, (country, 1)),
-        }
-        if let Some(pos) = self.devices.iter().position(|d| *d == device) {
-            self.devices.remove(pos);
-        } else if self.devices.len() >= MAX_TRACKED_DEVICES {
-            self.devices.pop_front();
-        }
-        self.devices.push_back(device);
-        self.last_success = Some((at, country));
-        self.hours[at.hour_of_day() as usize] += 1;
+        self.total = self.total.saturating_add(1);
+        self.countries |= 1 << country.index();
+        self.hours |= 1 << at.hour_of_day();
+        self.devices.touch(device);
+        self.last_at = at;
+        self.last_country = country;
     }
 
     /// Record a failed attempt.
     pub fn record_failure(&mut self, at: SimTime) {
-        self.recent_failures.push_back(at);
-        while let Some(front) = self.recent_failures.front() {
-            if at.since(*front) > SimDuration::from_hours(24) {
-                self.recent_failures.pop_front();
-            } else {
-                break;
-            }
+        let failures = self.failures.get_or_insert_with(|| Box::new(Window::new(at)));
+        let stale = failures
+            .as_slice()
+            .iter()
+            .take_while(|t| at.since(**t) > SimDuration::from_hours(24))
+            .count();
+        failures.drop_oldest(stale);
+        if failures.is_full() {
+            failures.drop_oldest(1);
         }
-        while self.recent_failures.len() > MAX_RECENT_FAILURES {
-            self.recent_failures.pop_front();
-        }
+        failures.push(at);
     }
 
-    /// Rough retained-memory estimate in bytes (used only for capacity
-    /// reporting, never scoring).
+    /// Bytes this history holds on the heap (spilled device window,
+    /// failure log), beyond its inline `size_of`.
+    fn heap_bytes(&self) -> usize {
+        self.devices.heap_bytes()
+            + self
+                .failures
+                .as_ref()
+                .map_or(0, |_| std::mem::size_of::<Window<SimTime, MAX_RECENT_FAILURES>>())
+    }
+
+    /// Rough retained-memory estimate in bytes: the inline struct plus
+    /// its heap allocations (used only for capacity reporting, never
+    /// scoring).
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.countries.len() * std::mem::size_of::<(CountryCode, u32)>()
-            + self.devices.len() * std::mem::size_of::<DeviceId>()
-            + self.recent_failures.len() * std::mem::size_of::<SimTime>()
+        std::mem::size_of::<Self>() + self.heap_bytes()
     }
 
     /// Failed attempts recorded within 24 h of `at` — the raw count
     /// behind the failure-burst signal, also used by the serve tier's
     /// cheap load-shedding prior.
     pub fn failures_in_last_day(&self, at: SimTime) -> usize {
-        self.recent_failures
-            .iter()
-            .filter(|t| at.since(**t) <= SimDuration::from_hours(24))
-            .count()
+        self.failures.as_ref().map_or(0, |f| {
+            f.as_slice().iter().filter(|t| at.since(**t) <= SimDuration::from_hours(24)).count()
+        })
     }
 }
+
+/// Accounts an [`IpDayActivity`] keeps inline. Most addresses serve
+/// one account (a home line) or two; only shared or abused addresses
+/// spill.
+const INLINE_ACCOUNTS: usize = 2;
 
 /// One IP's activity for the day it was last seen.
 #[derive(Debug, Clone)]
 struct IpDayActivity {
-    /// Day index the counts below belong to.
+    /// Day index the accounts below belong to.
     day: u64,
-    /// Distinct accounts seen from this IP that day (saturating at
-    /// [`MAX_ACCOUNTS_PER_IP`]).
-    accounts: Vec<AccountId>,
+    /// Distinct accounts seen from this IP that day (saturating at the
+    /// tracker's cap): the first `min(len, INLINE_ACCOUNTS)` in
+    /// `inline`, the rest in `spill`.
+    len: u32,
+    inline: [AccountId; INLINE_ACCOUNTS],
+    spill: Vec<AccountId>,
+}
+
+impl IpDayActivity {
+    fn new(day: u64) -> Self {
+        IpDayActivity { day, len: 0, inline: [AccountId(0); INLINE_ACCOUNTS], spill: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn contains(&self, account: AccountId) -> bool {
+        self.inline[..self.len().min(INLINE_ACCOUNTS)].contains(&account)
+            || self.spill.contains(&account)
+    }
+
+    fn push(&mut self, account: AccountId) {
+        let len = self.len();
+        match self.inline.get_mut(len) {
+            Some(slot) => *slot = account,
+            None => self.spill.push(account),
+        }
+        self.len += 1;
+    }
+
+    /// Start a new day: forget every account (a spilled buffer keeps its
+    /// capacity for the address's next busy day).
+    fn reset(&mut self, day: u64) {
+        self.day = day;
+        self.len = 0;
+        self.spill.clear();
+    }
 }
 
 /// Provider-wide per-IP activity tracker (the fan-out signal).
@@ -204,17 +408,14 @@ impl IpReputation {
     pub fn observe(&mut self, ip: IpAddr, account: AccountId, at: SimTime) -> usize {
         let day = at.day_index();
         let cap = self.accounts_per_ip;
-        let entry = self
-            .today
-            .get_or_insert_with(ip, || IpDayActivity { day, accounts: Vec::new() });
+        let entry = self.today.get_or_insert_with(ip, || IpDayActivity::new(day));
         if entry.day != day {
-            entry.day = day;
-            entry.accounts.clear();
+            entry.reset(day);
         }
-        if !entry.accounts.contains(&account) && entry.accounts.len() < cap {
-            entry.accounts.push(account);
+        if entry.len() < cap && !entry.contains(account) {
+            entry.push(account);
         }
-        entry.accounts.len()
+        entry.len()
     }
 
     /// What [`IpReputation::observe`] *would* return for this attempt,
@@ -226,10 +427,8 @@ impl IpReputation {
     /// never committed therefore leaves no trace in the cache.
     pub fn projected_fanout(&self, ip: IpAddr, account: AccountId, at: SimTime) -> usize {
         match self.today.peek(&ip).filter(|a| a.day == at.day_index()) {
-            Some(a) if a.accounts.contains(&account) || a.accounts.len() >= self.accounts_per_ip => {
-                a.accounts.len()
-            }
-            Some(a) => a.accounts.len() + 1,
+            Some(a) if a.len() >= self.accounts_per_ip || a.contains(account) => a.len(),
+            Some(a) => a.len() + 1,
             None => 1,
         }
     }
@@ -246,8 +445,7 @@ impl IpReputation {
         self.today
             .peek(&ip)
             .filter(|a| a.day == at.day_index())
-            .map(|a| a.accounts.len())
-            .unwrap_or(0)
+            .map_or(0, IpDayActivity::len)
     }
 
     /// Number of IPs currently cached.
@@ -265,13 +463,12 @@ impl IpReputation {
         self.today.capacity()
     }
 
-    /// Rough retained-memory estimate in bytes.
+    /// Rough retained-memory estimate in bytes: the cache's slots and
+    /// index plus each entry's spilled account buffer, at its actual
+    /// size.
     pub fn approx_bytes(&self) -> usize {
-        // key + slot links + day + saturating account vec, per entry.
-        self.today.len()
-            * (std::mem::size_of::<IpAddr>()
-                + 4 * std::mem::size_of::<usize>()
-                + self.accounts_per_ip * std::mem::size_of::<AccountId>())
+        self.today
+            .approx_bytes(|a| a.spill.capacity() * std::mem::size_of::<AccountId>())
     }
 }
 
@@ -284,8 +481,9 @@ impl IpReputation {
 ///
 /// Backed by a [`DenseMap`]: account ids are allocated densely from 0,
 /// so a batch world's histories live in one `Vec` indexed by account
-/// — no hashing on the per-login hot path. Serve-mode traffic with
-/// sparse or namespaced ids falls back to the map's overflow region.
+/// — no hashing on the per-login hot path. A serve stream that first
+/// sees its account ids in random order still ends dense; only sparse
+/// or namespaced ids stay in the map's overflow region.
 #[derive(Debug, Clone, Default)]
 pub struct HistoryStore {
     accounts: DenseMap<AccountHistory>,
@@ -311,15 +509,12 @@ impl HistoryStore {
     /// Pre-materialize an account's (empty) history. Optional — the
     /// store is total either way — but keeps batch setup explicit.
     pub fn register(&mut self, account: AccountId) {
-        let key = account.index() as u32;
-        if self.accounts.get(key).is_none() {
-            self.accounts.insert(key, AccountHistory::default());
-        }
+        self.get_mut(account);
     }
 
     /// This account's history; an empty default if never seen.
     pub fn get(&self, account: AccountId) -> &AccountHistory {
-        self.accounts.get(account.index() as u32).unwrap_or(&self.empty)
+        self.accounts.get(account.0).unwrap_or(&self.empty)
     }
 
     /// The shared empty history — the degraded-scoring fallback when
@@ -330,11 +525,7 @@ impl HistoryStore {
 
     /// Mutable history, materializing an empty one for new accounts.
     pub fn get_mut(&mut self, account: AccountId) -> &mut AccountHistory {
-        let key = account.index() as u32;
-        if self.accounts.get(key).is_none() {
-            self.accounts.insert(key, AccountHistory::default());
-        }
-        self.accounts.get_mut(key).expect("just materialized")
+        self.accounts.get_or_insert_with(account.0, AccountHistory::default)
     }
 
     /// Number of accounts with materialized history.
@@ -353,9 +544,11 @@ impl HistoryStore {
         self.accounts.values().map(|h| h.tracked_devices()).sum()
     }
 
-    /// Rough retained-memory estimate in bytes.
+    /// Rough retained-memory estimate in bytes: every slot of the dense
+    /// region (empty ones too), the overflow map, and each history's
+    /// heap allocations.
     pub fn approx_bytes(&self) -> usize {
-        self.accounts.values().map(|h| h.approx_bytes() + 16).sum()
+        self.accounts.approx_bytes(AccountHistory::heap_bytes)
     }
 }
 
@@ -415,7 +608,7 @@ pub fn extract_signals(
         if !cold_start && !history.has_country(c) {
             s.new_country = 1.0;
         }
-        if let Some((last_at, last_country)) = history.last_success {
+        if let Some((last_at, last_country)) = history.last_success() {
             if last_country != c && at.since(last_at) < SimDuration::from_hours(MIN_TRAVEL_HOURS)
             {
                 s.impossible_travel = 1.0;
@@ -432,19 +625,9 @@ pub fn extract_signals(
 
     s.ip_fanout = ((fanout_today.saturating_sub(1)) as f64 / 19.0).clamp(0.0, 1.0);
 
-    if !cold_start {
-        let h = at.hour_of_day() as usize;
-        // Hour never used, nor its neighbours.
-        let near: u32 = (0..24)
-            .filter(|i| {
-                let d = (*i as i32 - h as i32).rem_euclid(24).min((h as i32 - *i as i32).rem_euclid(24));
-                d <= 2
-            })
-            .map(|i| history.hours[i])
-            .sum();
-        if near == 0 && history.total_logins() >= 10 {
-            s.odd_hour = 1.0;
-        }
+    // Hour never used, nor its neighbours.
+    if !cold_start && history.total_logins() >= 10 && !history.used_hour_near(at.hour_of_day()) {
+        s.odd_hour = 1.0;
     }
 
     s.failure_burst = (history.failures_in_last_day(at) as f64 / 5.0).clamp(0.0, 1.0);
@@ -632,7 +815,7 @@ mod tests {
         for i in 0..1000 {
             h.record_failure(base.plus(SimDuration::from_mins(i)));
         }
-        assert!(h.recent_failures.len() <= MAX_RECENT_FAILURES);
+        assert!(h.failures.as_ref().map_or(0, |f| f.as_slice().len()) <= MAX_RECENT_FAILURES);
         // The burst signal still saturates.
         let last = base.plus(SimDuration::from_mins(999));
         assert_eq!(h.failures_in_last_day(last).min(5), 5);
@@ -672,5 +855,66 @@ mod tests {
             rep.observe(ip, AccountId(a), t);
         }
         assert_eq!(rep.fanout(ip, t), 4);
+    }
+
+    #[test]
+    fn account_history_fits_one_cache_line() {
+        assert!(
+            std::mem::size_of::<AccountHistory>() <= 64,
+            "AccountHistory is {} bytes",
+            std::mem::size_of::<AccountHistory>()
+        );
+    }
+
+    #[test]
+    fn small_accounts_never_allocate() {
+        let mut h = AccountHistory::default();
+        let t = SimTime::from_secs(0);
+        for i in 0..INLINE_DEVICES as u32 {
+            h.record_success(t, CountryCode::US, DeviceId(i));
+            h.record_success(t, CountryCode::US, DeviceId(0)); // re-seen: reordered, not grown
+        }
+        assert_eq!(h.tracked_devices(), INLINE_DEVICES);
+        assert_eq!(h.heap_bytes(), 0, "four devices and no failures stay inline");
+        assert_eq!(h.approx_bytes(), std::mem::size_of::<AccountHistory>());
+        h.record_success(t, CountryCode::US, DeviceId(99));
+        assert!(h.heap_bytes() > 0, "the fifth device spills");
+        assert!((0..INLINE_DEVICES as u32).all(|i| h.has_device(DeviceId(i))));
+        let mut f = AccountHistory::default();
+        f.record_failure(t);
+        assert!(f.heap_bytes() > 0, "a failure allocates the cold log");
+    }
+
+    #[test]
+    fn hour_window_wraps_midnight() {
+        let mut h = AccountHistory::default();
+        h.record_success(SimTime::from_secs(23 * HOUR), CountryCode::US, DeviceId(1));
+        for near in [21, 22, 23, 0, 1] {
+            assert!(h.used_hour_near(near), "hour {near} is within 2 h of 23:00");
+        }
+        for far in [2, 12, 20] {
+            assert!(!h.used_hour_near(far), "hour {far} is not");
+        }
+        let mut m = AccountHistory::default();
+        m.record_success(SimTime::from_secs(0), CountryCode::US, DeviceId(1));
+        assert!(m.used_hour_near(22) && m.used_hour_near(2) && !m.used_hour_near(3));
+    }
+
+    #[test]
+    fn ip_accounts_spill_past_two_and_report_their_size() {
+        let mut rep = IpReputation::with_limits(8, 64);
+        let ip = IpAddr::new(41, 0, 0, 1);
+        let t = SimTime::from_secs(10);
+        rep.observe(ip, AccountId(1), t);
+        rep.observe(ip, AccountId(2), t);
+        let two = rep.approx_bytes();
+        for a in 3..=10 {
+            assert_eq!(rep.observe(ip, AccountId(a), t), a as usize);
+        }
+        assert_eq!(rep.observe(ip, AccountId(1), t), 10, "inline accounts are still found");
+        assert_eq!(rep.observe(ip, AccountId(9), t), 10, "spilled accounts are still found");
+        assert!(rep.approx_bytes() > two, "the spilled set is charged");
+        // The next day starts empty, inline again.
+        assert_eq!(rep.observe(ip, AccountId(5), SimTime::from_secs(DAY + 10)), 1);
     }
 }

@@ -92,6 +92,13 @@ impl CountryCode {
         CountryCode::MX,
     ];
 
+    /// Position in [`CountryCode::ALL`] (`0..18`): a dense index for
+    /// per-country tables and bitmasks.
+    pub const fn index(self) -> usize {
+        // The declaration order is the `ALL` order (pinned by a test).
+        self as usize
+    }
+
     /// Two-letter code string, as rendered in the paper's figures.
     pub fn code(self) -> &'static str {
         match self {
@@ -226,6 +233,13 @@ impl fmt::Display for CountryCode {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, c) in CountryCode::ALL.iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
+    }
 
     #[test]
     fn all_countries_unique() {

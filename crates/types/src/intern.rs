@@ -22,6 +22,7 @@
 //! order produce identical indices — a requirement for the engine's
 //! byte-identical-digest contract.
 
+use crate::keyed_hash::KeyedState;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::marker::PhantomData;
@@ -234,11 +235,18 @@ impl StrArena {
 /// ids, interner symbols) — costs one bounds check and no hashing.
 /// Sparse keys (a shard-namespaced message id with a shard tag in the
 /// high byte, or an isolated far-out key) transparently land in an
-/// overflow hash map rather than forcing a multi-gigabyte `Vec`: a key
-/// is only admitted to the dense `Vec` when it extends the populated
-/// region by at most [`DenseMap::DENSE_SLACK`] slots (or falls inside a
-/// [`DenseMap::with_dense_capacity`] pre-sizing), and never at or past
-/// [`DenseMap::DENSE_LIMIT`].
+/// overflow hash map rather than forcing a multi-gigabyte `Vec`.
+///
+/// A key is admitted to the dense `Vec` when it lies below
+/// `max(dense end, pre-sized floor, 2 × entries) +`
+/// [`DenseMap::DENSE_SLACK`], and never at or past
+/// [`DenseMap::DENSE_LIMIT`]. The `2 × entries` term lets the region
+/// grow while it stays at least half full, so keys first seen in random
+/// order (a login stream's account ids) end up dense too: each time the
+/// entry count doubles, overflow keys the higher bound now admits move
+/// into the region. Whenever the region grows, keys it now covers move
+/// out of the overflow map, so every overflow key lies past the dense
+/// end and a dense-range lookup never hashes.
 ///
 /// ```
 /// use mhw_types::intern::DenseMap;
@@ -255,12 +263,15 @@ impl StrArena {
 #[derive(Debug, Clone)]
 pub struct DenseMap<V> {
     dense: Vec<Option<V>>,
-    /// Keys the dense-admission policy rejected.
-    overflow: HashMap<u32, V>,
+    /// Keys the dense-admission policy rejected, all at or past
+    /// `dense.len()`.
+    overflow: HashMap<u32, V, KeyedState>,
     /// Keys below this are always dense-admitted (set by
     /// [`DenseMap::with_dense_capacity`]).
     dense_floor: usize,
     present: usize,
+    /// Entry count at which the next overflow sweep runs.
+    next_sweep: usize,
 }
 
 impl<V> Default for DenseMap<V> {
@@ -275,7 +286,7 @@ impl<V> DenseMap<V> {
     /// shard allocates before the engine's shard tag kicks in.
     pub const DENSE_LIMIT: u32 = 1 << 24;
 
-    /// How far past the current dense end a key may extend the `Vec`.
+    /// How far past the admission bound a key may extend the `Vec`.
     /// Densely allocated ids grow the region smoothly; an isolated
     /// sparse key (say, 4 million on an empty map) goes to overflow
     /// instead of materializing millions of empty slots.
@@ -283,7 +294,7 @@ impl<V> DenseMap<V> {
 
     /// An empty map.
     pub fn new() -> Self {
-        DenseMap { dense: Vec::new(), overflow: HashMap::new(), dense_floor: 0, present: 0 }
+        DenseMap::with_dense_capacity(0)
     }
 
     /// An empty map that admits keys `0..n` to the dense region
@@ -291,67 +302,146 @@ impl<V> DenseMap<V> {
     pub fn with_dense_capacity(n: usize) -> Self {
         DenseMap {
             dense: Vec::with_capacity(n),
-            overflow: HashMap::new(),
+            overflow: HashMap::with_hasher(KeyedState::new()),
             dense_floor: n,
             present: 0,
+            next_sweep: 1,
         }
     }
 
-    /// Dense-admission policy: below the hard limit, and either inside
-    /// the pre-sized floor or within [`Self::DENSE_SLACK`] of the
-    /// current dense end.
+    /// Dense-admission policy: below the hard limit, and within
+    /// [`Self::DENSE_SLACK`] of the larger of the dense end, the
+    /// pre-sized floor and twice the entry count.
     fn admits_dense(&self, key: u32) -> bool {
-        key < Self::DENSE_LIMIT
-            && (key as usize) < self.dense.len().max(self.dense_floor) + Self::DENSE_SLACK
+        key < Self::DENSE_LIMIT && (key as usize) < self.admission_bound()
+    }
+
+    fn admission_bound(&self) -> usize {
+        self.dense.len().max(self.dense_floor).max(2 * self.present) + Self::DENSE_SLACK
+    }
+
+    /// The dense index for `key`, growing the region out to it if the
+    /// key is admitted; `None` if the key belongs in overflow.
+    fn dense_index(&mut self, key: u32) -> Option<usize> {
+        let i = key as usize;
+        if i >= self.dense.len() {
+            if !self.admits_dense(key) {
+                return None;
+            }
+            self.grow_to(i + 1);
+        }
+        Some(i)
+    }
+
+    /// Extend the dense region to `end` slots, moving the overflow keys
+    /// it now covers into their slots. Probes whichever is smaller, the
+    /// new range or the overflow map, so over a map's life the probes
+    /// total at most the final dense length.
+    fn grow_to(&mut self, end: usize) {
+        let from = self.dense.len();
+        self.dense.resize_with(end, || None);
+        if self.overflow.is_empty() {
+            return;
+        }
+        if end - from <= self.overflow.len() {
+            for k in from..end {
+                if let Some(v) = self.overflow.remove(&(k as u32)) {
+                    self.dense[k] = Some(v);
+                }
+            }
+        } else {
+            for (k, v) in self.overflow.extract_if(|k, _| (*k as usize) < end) {
+                self.dense[k as usize] = Some(v);
+            }
+        }
+        if self.overflow.is_empty() {
+            // Everything moved dense: give the table back.
+            self.overflow.shrink_to_fit();
+        }
+    }
+
+    /// Count a new entry. Each time the count doubles, move every
+    /// overflow key the (now higher) admission bound accepts into the
+    /// dense region: keys that overflowed while the map was young come
+    /// home once it has filled in. The scans cost O(1) amortized per
+    /// insert.
+    fn count_insert(&mut self) {
+        self.present += 1;
+        if self.present < self.next_sweep {
+            return;
+        }
+        self.next_sweep = 2 * self.present;
+        let bound = self.admission_bound();
+        let end = self
+            .overflow
+            .keys()
+            .filter(|k| **k < Self::DENSE_LIMIT && (**k as usize) < bound)
+            .max();
+        if let Some(&end) = end {
+            self.grow_to(end as usize + 1);
+        }
+    }
+
+    /// Place `value` at `key`, which must be absent from both regions.
+    fn insert_absent(&mut self, key: u32, value: V) -> &mut V {
+        // Counted first: the sweep this may run cannot move `key`, which
+        // is in neither region yet.
+        self.count_insert();
+        match self.dense_index(key) {
+            Some(i) => self.dense[i].insert(value),
+            None => self.overflow.entry(key).or_insert(value),
+        }
     }
 
     /// Insert or replace the value at `key`, returning the previous one.
     pub fn insert(&mut self, key: u32, value: V) -> Option<V> {
-        if self.admits_dense(key) {
-            let i = key as usize;
-            if i >= self.dense.len() {
-                self.dense.resize_with(i + 1, || None);
+        match self.get_mut(key) {
+            Some(slot) => Some(std::mem::replace(slot, value)),
+            None => {
+                self.insert_absent(key, value);
+                None
             }
-            // The key may be stranded in overflow from before the dense
-            // region grew out to cover it.
-            let prev = self.dense[i].replace(value).or_else(|| self.overflow.remove(&key));
-            if prev.is_none() {
-                self.present += 1;
-            }
-            prev
-        } else {
-            let prev = self.overflow.insert(key, value);
-            if prev.is_none() {
-                self.present += 1;
-            }
-            prev
         }
+    }
+
+    /// The value at `key`, inserting `default()` first if absent. A
+    /// present dense key costs one bounds check.
+    pub fn get_or_insert_with(&mut self, key: u32, default: impl FnOnce() -> V) -> &mut V {
+        let i = key as usize;
+        if self.dense.get(i).is_some_and(Option::is_some) {
+            return self.dense[i].get_or_insert_with(default);
+        }
+        if i >= self.dense.len() && !self.overflow.is_empty() && self.overflow.contains_key(&key) {
+            return self.overflow.entry(key).or_insert_with(default);
+        }
+        self.insert_absent(key, default())
     }
 
     /// The value at `key`, if present.
     pub fn get(&self, key: u32) -> Option<&V> {
         match self.dense.get(key as usize) {
-            Some(Some(v)) => Some(v),
-            _ => self.overflow.get(&key),
+            Some(slot) => slot.as_ref(),
+            None if self.overflow.is_empty() => None,
+            None => self.overflow.get(&key),
         }
     }
 
     /// Mutable access to the value at `key`, if present.
     pub fn get_mut(&mut self, key: u32) -> Option<&mut V> {
-        let i = key as usize;
-        if i < self.dense.len() && self.dense[i].is_some() {
-            return self.dense[i].as_mut();
+        match self.dense.get_mut(key as usize) {
+            Some(slot) => slot.as_mut(),
+            None if self.overflow.is_empty() => None,
+            None => self.overflow.get_mut(&key),
         }
-        self.overflow.get_mut(&key)
     }
 
     /// Remove and return the value at `key`.
     pub fn remove(&mut self, key: u32) -> Option<V> {
-        let prev = self
-            .dense
-            .get_mut(key as usize)
-            .and_then(|slot| slot.take())
-            .or_else(|| self.overflow.remove(&key));
+        let prev = match self.dense.get_mut(key as usize) {
+            Some(slot) => slot.take(),
+            None if self.overflow.is_empty() => None,
+            None => self.overflow.remove(&key),
+        };
         if prev.is_some() {
             self.present -= 1;
         }
@@ -372,6 +462,18 @@ impl<V> DenseMap<V> {
     /// then overflow entries (unordered).
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.dense.iter().filter_map(|slot| slot.as_ref()).chain(self.overflow.values())
+    }
+
+    /// Rough retained bytes: every slot the dense region spans (empty
+    /// ones included), each overflow entry with its control byte, and
+    /// `heap(v)` for each value's own allocations. Spare capacity (of
+    /// the `Vec` or the hash table) is not counted, which keeps the
+    /// figure deterministic: the table's growth points depend on its
+    /// random hash key.
+    pub fn approx_bytes(&self, heap: impl Fn(&V) -> usize) -> usize {
+        self.dense.len() * std::mem::size_of::<Option<V>>()
+            + self.overflow.len() * (std::mem::size_of::<(u32, V)>() + 1)
+            + self.values().map(heap).sum::<usize>()
     }
 }
 
@@ -481,5 +583,111 @@ mod tests {
         assert_eq!(m.insert(3, "first"), None);
         assert_eq!(m.insert(3, "second"), Some("first"));
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn dense_map_get_or_insert_with_inserts_once() {
+        let mut m: DenseMap<u32> = DenseMap::new();
+        *m.get_or_insert_with(3, || 10) += 1;
+        *m.get_or_insert_with(3, || 99) += 1; // present: default not used
+        let far = DenseMap::<u32>::DENSE_LIMIT + 1;
+        *m.get_or_insert_with(far, || 20) += 1;
+        *m.get_or_insert_with(far, || 99) += 1;
+        assert_eq!((m.get(3), m.get(far), m.len()), (Some(&12), Some(&22), 2));
+    }
+
+    /// Fisher–Yates over `0..n` driven by SplitMix64 from `seed`.
+    pub(super) fn shuffled(n: u32, seed: u64) -> Vec<u32> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut keys: Vec<u32> = (0..n).collect();
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        keys
+    }
+
+    #[test]
+    fn dense_map_shuffled_keys_end_dense() {
+        // A login stream sees its account ids in random order: early
+        // far keys overflow, then move dense as the region fills in.
+        let n = 200_000;
+        let mut m: DenseMap<u32> = DenseMap::new();
+        let mut overflowed = 0;
+        for k in shuffled(n, 7) {
+            m.get_or_insert_with(k, || k);
+            overflowed = overflowed.max(m.overflow.len());
+        }
+        assert!(overflowed > 0, "the test must exercise the overflow path");
+        assert!(m.overflow.is_empty(), "{} keys stranded in overflow", m.overflow.len());
+        assert_eq!(m.overflow.capacity(), 0, "the drained table is released");
+        assert_eq!((m.len(), m.dense.len()), (n as usize, n as usize));
+        assert!((0..n).all(|k| m.get(k) == Some(&k)));
+    }
+
+    #[test]
+    fn dense_map_approx_bytes_counts_empty_slots() {
+        let mut m: DenseMap<u64> = DenseMap::new();
+        m.insert(999, 1);
+        let slot = std::mem::size_of::<Option<u64>>();
+        assert_eq!(m.approx_bytes(|_| 0), 1000 * slot);
+        assert_eq!(m.approx_bytes(|_| 5), 1000 * slot + 5);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    proptest! {
+        /// Any shuffle of `0..n` ends entirely in the dense region.
+        #[test]
+        fn shuffled_insertion_leaves_overflow_empty(n in 1u32..30_000, seed in 0u64..u64::MAX) {
+            let mut m: DenseMap<u32> = DenseMap::new();
+            for k in tests::shuffled(n, seed) {
+                prop_assert_eq!(m.insert(k, k), None);
+            }
+            prop_assert!(m.overflow.is_empty());
+            prop_assert_eq!(m.len(), n as usize);
+        }
+
+        /// Mixed inserts, removes and entry calls over near, far and
+        /// past-the-limit keys agree with a `BTreeMap`, and every
+        /// overflow key stays past the dense end.
+        #[test]
+        fn dense_map_matches_a_btreemap(ops in proptest::collection::vec(0u64..u64::MAX, 1..400)) {
+            let mut m: DenseMap<u64> = DenseMap::new();
+            let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+            for op in ops {
+                let key = match op % 4 {
+                    0 => (op >> 8) as u32 % 3_000,
+                    1 => (op >> 8) as u32 % 100_000,
+                    2 => DenseMap::<u64>::DENSE_LIMIT + (op >> 8) as u32 % 1_000,
+                    _ => (op >> 8) as u32,
+                };
+                match (op >> 2) % 3 {
+                    0 => prop_assert_eq!(m.insert(key, op), model.insert(key, op)),
+                    1 => prop_assert_eq!(m.remove(key), model.remove(&key)),
+                    _ => {
+                        let got = *m.get_or_insert_with(key, || op);
+                        prop_assert_eq!(got, *model.entry(key).or_insert(op));
+                    }
+                }
+                prop_assert_eq!(m.get(key), model.get(&key));
+                prop_assert_eq!(m.len(), model.len());
+                prop_assert!(m.overflow.keys().all(|k| *k as usize >= m.dense.len()));
+            }
+            for (k, v) in &model {
+                prop_assert_eq!(m.get(*k), Some(v));
+            }
+        }
     }
 }

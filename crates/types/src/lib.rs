@@ -33,6 +33,7 @@ pub mod geo;
 pub mod ids;
 pub mod intern;
 pub mod ip;
+pub mod keyed_hash;
 pub mod log;
 pub mod phone;
 pub mod retry;

@@ -29,6 +29,14 @@ echo "== chaos =="
 # step so a crash-safety regression is named at the gate.)
 cargo test --offline -q --test chaos
 
+echo "== golden-digests =="
+# Behaviour gate, explicitly: the verdict digests of two generated login
+# streams, one resilient fault arm and the dataset digest of one
+# quick-preset world must equal constants recorded from the reference
+# state layouts (tests/golden_digests.rs). Batch/serve parity cannot
+# see a layout bug both sides share; fixed constants can.
+cargo test --offline -q --test golden_digests
+
 echo "== fidelity =="
 # Paper-fidelity gate: score the quick-scale worlds against the
 # calibration-target registry (docs/FIGURES.md). `--validate` exits 1
